@@ -6,7 +6,7 @@ use fpgaccel_tensor::Tensor;
 use std::time::Instant;
 
 /// A CPU reference engine: executes the (fused) network graph with the
-/// rayon-parallel operators of `fpgaccel-tensor`. This is the functional
+/// multithreaded operators of `fpgaccel-tensor`. This is the functional
 /// ground truth every simulated deployment is verified against, and it
 /// yields genuinely *measured* host FPS for the bench harness.
 pub struct ReferenceEngine {

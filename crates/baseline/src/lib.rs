@@ -3,7 +3,7 @@
 //! The CPU/GPU side of the thesis evaluation (§6.2, Tables 6.3/6.10/6.12/6.15):
 //!
 //! * [`engine`] — a *real* Rust CNN inference engine (the graph executor with
-//!   rayon-parallel convolutions) used as functional ground truth and for
+//!   multithreaded convolutions) used as functional ground truth and for
 //!   genuinely measured host FPS.
 //! * [`frameworks`] — calibrated performance models of the closed-source
 //!   comparators (Keras/TensorFlow CPU, TVM LLVM-CPU with 1–56 threads,

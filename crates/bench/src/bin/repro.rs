@@ -95,8 +95,12 @@ fn main() {
     for id in ids {
         log::debug(&format!("running {id}"));
         match experiments::run(id) {
-            Some(report) => {
+            Some(Ok(report)) => {
                 println!("{report}");
+            }
+            Some(Err(e)) => {
+                log::error(&format!("{id}: {e}"));
+                std::process::exit(1);
             }
             None => {
                 log::error(&format!("unknown experiment `{id}` (try --list)"));

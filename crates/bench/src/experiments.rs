@@ -954,7 +954,7 @@ pub fn alexnet() -> String {
 /// A genuinely measured host-CPU baseline from the real Rust engine.
 pub fn host_engine() -> String {
     let mut t = Table::new(
-        "Reference engine — real measured host FPS (this machine, rayon)",
+        "Reference engine — real measured host FPS (this machine, multithreaded)",
         &["model", "FPS", "GFLOPS"],
     );
     for (m, n) in [(Model::LeNet5, 50), (Model::MobileNetV1, 2)] {
@@ -970,44 +970,47 @@ pub fn host_engine() -> String {
     t.render()
 }
 
-/// An experiment generator: `(id, function producing the report)`.
-pub type Experiment = (&'static str, fn() -> String);
+/// An experiment generator: `(id, function producing the report)`. A
+/// generator whose scenario cannot run as configured returns the reason.
+pub type Experiment = (&'static str, fn() -> Result<String, String>);
 
 /// All experiments in presentation order.
 pub const ALL_EXPERIMENTS: &[Experiment] = &[
-    ("platforms", platforms),
-    ("fig6_1", fig6_1),
-    ("fig6_2", fig6_2),
-    ("tab6_5", tab6_5),
-    ("fig6_3", fig6_3),
-    ("tab6_7", tab6_7),
-    ("tab6_8", tab6_8),
-    ("tab6_9", tab6_9),
-    ("tab6_11", tab6_11),
-    ("tab6_13", tab6_13),
-    ("tab6_14", tab6_14),
-    ("tab6_16", tab6_16),
-    ("tab6_17", tab6_17),
-    ("tab6_18", tab6_18),
-    ("tab6_19", tab6_19),
-    ("appendix_a", appendix_a),
-    ("quantization", quantization),
-    ("quant", crate::quant::quant),
-    ("alexnet", alexnet),
-    ("ablations", ablations),
-    ("host_engine", host_engine),
-    ("serve", crate::serving::serve),
-    ("tune", crate::tune::tune),
-    ("chaos", crate::chaos::chaos),
-    ("rollout", crate::rollout::rollout),
-    ("pipeline", crate::pipeline::pipeline),
-    ("bench", crate::trajectory::bench),
-    ("fleet", crate::fleet::fleet),
-    ("fleetchaos", crate::fleetchaos::fleetchaos),
+    ("platforms", || Ok(platforms())),
+    ("fig6_1", || Ok(fig6_1())),
+    ("fig6_2", || Ok(fig6_2())),
+    ("tab6_5", || Ok(tab6_5())),
+    ("fig6_3", || Ok(fig6_3())),
+    ("tab6_7", || Ok(tab6_7())),
+    ("tab6_8", || Ok(tab6_8())),
+    ("tab6_9", || Ok(tab6_9())),
+    ("tab6_11", || Ok(tab6_11())),
+    ("tab6_13", || Ok(tab6_13())),
+    ("tab6_14", || Ok(tab6_14())),
+    ("tab6_16", || Ok(tab6_16())),
+    ("tab6_17", || Ok(tab6_17())),
+    ("tab6_18", || Ok(tab6_18())),
+    ("tab6_19", || Ok(tab6_19())),
+    ("appendix_a", || Ok(appendix_a())),
+    ("quantization", || Ok(quantization())),
+    ("quant", || Ok(crate::quant::quant())),
+    ("alexnet", || Ok(alexnet())),
+    ("ablations", || Ok(ablations())),
+    ("host_engine", || Ok(host_engine())),
+    ("serve", || Ok(crate::serving::serve())),
+    ("tune", || Ok(crate::tune::tune())),
+    ("chaos", || Ok(crate::chaos::chaos())),
+    ("rollout", || Ok(crate::rollout::rollout())),
+    ("pipeline", || Ok(crate::pipeline::pipeline())),
+    ("bench", || Ok(crate::trajectory::bench())),
+    ("fleet", || Ok(crate::fleet::fleet())),
+    ("fleetchaos", || {
+        crate::fleetchaos::fleetchaos().map_err(|e| e.to_string())
+    }),
 ];
 
-/// Runs one experiment by id.
-pub fn run(id: &str) -> Option<String> {
+/// Runs one experiment by id; `None` for an unknown id.
+pub fn run(id: &str) -> Option<Result<String, String>> {
     ALL_EXPERIMENTS
         .iter()
         .find(|(name, _)| *name == id)
@@ -1030,7 +1033,7 @@ mod tests {
     #[test]
     fn cheap_experiments_render() {
         for id in ["platforms", "tab6_7", "tab6_13", "appendix_a"] {
-            let s = run(id).unwrap();
+            let s = run(id).unwrap().unwrap();
             assert!(s.contains('|'), "{id} produced no table");
         }
     }

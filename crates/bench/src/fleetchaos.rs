@@ -33,8 +33,11 @@
 //! warm run must produce byte-identical digests.
 //!
 //! Environment knobs: `FPGACCEL_FLEETCHAOS_DEVICES` scales the fleet (CI
-//! runs 64), `FPGACCEL_FLEETCHAOS_REPORT` names a JSON file for the
-//! machine-readable summary.
+//! runs 64; a value that is not a whole number of at least 10 is an
+//! error), `FPGACCEL_FLEETCHAOS_REPORT` names a JSON file for the
+//! machine-readable summary. A fleet too small for the scenario, or one
+//! that misses an acceptance bar, returns a [`FleetChaosError`] rather
+//! than a report.
 
 use crate::rollout::json_str;
 use crate::table::Table;
@@ -43,7 +46,7 @@ use fpgaccel_device::FpgaPlatform;
 use fpgaccel_fault::{FaultKind, FaultPlan, FaultSpec};
 use fpgaccel_fleet::{
     plan_placement, DeviceClass, Fleet, FleetConfig, FleetRunResult, FleetSpec, HealthPolicy,
-    ModelDemand, PlacementPlan, TenantLoad, TenantPolicy,
+    ModelDemand, PlacementError, PlacementPlan, TenantLoad, TenantPolicy,
 };
 use fpgaccel_serve::{AdmissionPolicy, DeploymentCache, ServeConfig};
 use fpgaccel_tensor::models::Model;
@@ -76,13 +79,72 @@ const HEADROOM: f64 = 0.15;
 
 /// Default fleet size; CI smokes the same scenario at 64.
 const DEFAULT_DEVICES: usize = 500;
+/// Smallest fleet the scenario accepts.
+const MIN_DEVICES: usize = 10;
 
-fn fleet_devices() -> usize {
-    std::env::var("FPGACCEL_FLEETCHAOS_DEVICES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 10)
-        .unwrap_or(DEFAULT_DEVICES)
+/// Why the `fleetchaos` experiment produced no report.
+#[derive(Clone, Debug)]
+pub enum FleetChaosError {
+    /// `FPGACCEL_FLEETCHAOS_DEVICES` is not a whole number of at least 10.
+    Devices(String),
+    /// The inventory cannot be placed.
+    Placement(PlacementError),
+    /// No MobileNet shard has a failover target for every model it serves,
+    /// so no shard can be taken dark without losing a model.
+    NoVictim,
+    /// The run missed an acceptance bar.
+    Acceptance(String),
+    /// The `FPGACCEL_FLEETCHAOS_REPORT` file could not be written.
+    Report(String),
+}
+
+impl std::fmt::Display for FleetChaosError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetChaosError::Devices(v) => write!(
+                f,
+                "FPGACCEL_FLEETCHAOS_DEVICES={v:?} is not a whole number of at least \
+                 {MIN_DEVICES}"
+            ),
+            FleetChaosError::Placement(e) => write!(f, "placement failed: {e}"),
+            FleetChaosError::NoVictim => write!(
+                f,
+                "no MobileNet shard has failover targets for all its models; \
+                 the fleet is too small for the outage scenario"
+            ),
+            FleetChaosError::Acceptance(bar) => write!(f, "acceptance bar missed: {bar}"),
+            FleetChaosError::Report(e) => write!(f, "cannot write the report: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetChaosError {}
+
+impl From<PlacementError> for FleetChaosError {
+    fn from(e: PlacementError) -> Self {
+        FleetChaosError::Placement(e)
+    }
+}
+
+/// Fails with `bar` unless `ok`.
+fn require(ok: bool, bar: impl Into<String>) -> Result<(), FleetChaosError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(FleetChaosError::Acceptance(bar.into()))
+    }
+}
+
+/// The fleet size from the `FPGACCEL_FLEETCHAOS_DEVICES` value, or the
+/// default when it is unset.
+fn parse_devices(value: Option<String>) -> Result<usize, FleetChaosError> {
+    match value {
+        None => Ok(DEFAULT_DEVICES),
+        Some(v) => match v.trim().parse() {
+            Ok(n) if n >= MIN_DEVICES => Ok(n),
+            _ => Err(FleetChaosError::Devices(v)),
+        },
+    }
 }
 
 /// Calibrated steady-state rate of one device, requests/second.
@@ -216,7 +278,10 @@ struct Scenario {
 /// Builds the fleet (warm-reloading the placement), picks the victim
 /// shard, arms the generated chaos plan, and runs the tenant load.
 /// Returns the result, the victim shard, and the outage instant.
-fn run_fleetchaos(sc: &Scenario, db: &mut TuningDb) -> (FleetRunResult, usize, f64) {
+fn run_fleetchaos(
+    sc: &Scenario,
+    db: &mut TuningDb,
+) -> Result<(FleetRunResult, usize, f64), FleetChaosError> {
     let cfg = FleetConfig {
         shards: sc.shards,
         seed: FLEET_SEED,
@@ -233,31 +298,28 @@ fn run_fleetchaos(sc: &Scenario, db: &mut TuningDb) -> (FleetRunResult, usize, f
         heal_delay_s: 0.1,
         ..FleetConfig::default()
     };
-    let mut fleet = Fleet::build(&sc.spec, cfg, db).unwrap();
-    assert!(
+    let mut fleet = Fleet::build(&sc.spec, cfg, db)?;
+    require(
         fleet.plan().from_cache && fleet.plan().evaluations == 0,
-        "every fleet start-up must warm-reload the cached placement"
-    );
+        "every fleet start-up must warm-reload the cached placement",
+    )?;
 
     // The victim: a MobileNet-serving shard every one of whose models is
     // also served elsewhere, so hedges and replays always have a live
     // ring target.
-    let serving_by_model: Vec<(Model, Vec<usize>)> = Model::ALL
+    let serving_by_model: Vec<Vec<usize>> = Model::ALL
         .iter()
-        .map(|&m| (m, fleet.shards_serving(m)))
+        .map(|&m| fleet.shards_serving(m))
         .collect();
-    let victim = *serving_by_model
-        .iter()
-        .find(|(m, _)| *m == Model::MobileNetV1)
-        .map(|(_, s)| s)
-        .expect("MobileNet is served")
-        .iter()
-        .find(|&&s| {
+    let victim = fleet
+        .shards_serving(Model::MobileNetV1)
+        .into_iter()
+        .find(|s| {
             serving_by_model
                 .iter()
-                .all(|(_, shards)| !shards.contains(&s) || shards.len() >= 2)
+                .all(|shards| !shards.contains(s) || shards.len() >= 2)
         })
-        .expect("some MobileNet shard has failover targets for all its models");
+        .ok_or(FleetChaosError::NoVictim)?;
     let domain = fleet.domain_of(victim);
 
     // The generated chaos plan: one correlated burst against the victim
@@ -287,9 +349,9 @@ fn run_fleetchaos(sc: &Scenario, db: &mut TuningDb) -> (FleetRunResult, usize, f
         .iter()
         .find(|e| e.kind == FaultKind::DomainOutage)
         .map(|e| e.at_s)
-        .expect("the burst schedules a domain outage");
+        .ok_or_else(|| FleetChaosError::Acceptance("the burst schedules a domain outage".into()))?;
     fleet.arm(plan);
-    (fleet.run(&sc.tenants, sc.duration_s), victim, outage_s)
+    Ok((fleet.run(&sc.tenants, sc.duration_s), victim, outage_s))
 }
 
 /// The machine-readable summary written to `FPGACCEL_FLEETCHAOS_REPORT`
@@ -374,16 +436,16 @@ fn json_report(
 }
 
 /// Runs the full scenario at `devices` boards and renders the report.
-fn fleetchaos_at(devices: usize) -> String {
+fn fleetchaos_at(devices: usize) -> Result<String, FleetChaosError> {
     let shards = (devices / 16).clamp(2, 20);
     let spec = build_spec(devices, shards);
 
     let mut db = TuningDb::new();
-    let cold = plan_placement(&spec, &mut db, &mut DeploymentCache::new()).unwrap();
-    assert!(
+    let cold = plan_placement(&spec, &mut db, &mut DeploymentCache::new())?;
+    require(
         !cold.from_cache && cold.evaluations > 0,
-        "first plan is cold"
-    );
+        "first plan is cold",
+    )?;
 
     let tenants = tenants_for(&cold);
     let offered_rps: f64 = tenants
@@ -399,50 +461,53 @@ fn fleetchaos_at(devices: usize) -> String {
         shards,
     };
 
-    let (r, victim, outage_s) = run_fleetchaos(&sc, &mut db);
-    let (second, _, _) = run_fleetchaos(&sc, &mut db);
+    let (r, victim, outage_s) = run_fleetchaos(&sc, &mut db)?;
+    let (second, _, _) = run_fleetchaos(&sc, &mut db)?;
     let deterministic = r.digest() == second.digest();
 
-    // The acceptance bars, asserted hard: a fleet that loses in-budget
-    // traffic to the outage must fail the experiment, not render a
-    // plausible table.
-    assert!(deterministic, "cold and warm runs must match byte for byte");
+    // The acceptance bars: a fleet that loses in-budget traffic to the
+    // outage must fail the experiment, not render a plausible table.
+    require(deterministic, "cold and warm runs must match byte for byte")?;
     for t in &r.tenants {
-        assert_eq!(
-            t.in_budget_completion_rate(),
-            1.0,
-            "{}: every intra-budget admit completes through the outage",
-            t.name
-        );
+        require(
+            t.in_budget_completion_rate() == 1.0,
+            format!(
+                "{}: every intra-budget admit completes through the outage",
+                t.name
+            ),
+        )?;
     }
-    assert!(
+    require(
         r.tenants
             .iter()
             .any(|t| t.name == "burst" && t.shed_fleet > 0),
-        "the 10x surge still sheds at the QoS door during the outage"
-    );
-    assert!(r.hedges > 0, "straggler predictions must fire hedges");
-    assert!(
+        "the 10x surge still sheds at the QoS door during the outage",
+    )?;
+    require(r.hedges > 0, "straggler predictions must fire hedges")?;
+    require(
         r.replays > 0,
-        "the failover replay must re-issue in-flight work"
-    );
-    let heal = r.heals.first().expect("the outage triggers a heal");
-    assert_eq!(heal.shard, victim, "the heal targets the victim shard");
-    assert!(heal.error.is_none(), "surviving inventory fits the demand");
-    assert!(
+        "the failover replay must re-issue in-flight work",
+    )?;
+    let heal = r
+        .heals
+        .first()
+        .ok_or_else(|| FleetChaosError::Acceptance("the outage triggers a heal".into()))?;
+    require(heal.shard == victim, "the heal targets the victim shard")?;
+    require(heal.error.is_none(), "surviving inventory fits the demand")?;
+    require(
         !heal.adopted.is_empty(),
-        "the heal adopts standby spares into serving"
-    );
-    assert!(
+        "the heal adopts standby spares into serving",
+    )?;
+    require(
         r.breaker_transitions_to("open") >= 1
             && r.breaker_transitions_to("half-open") >= 1
             && r.breaker_transitions_to("closed") >= 1,
-        "the breaker must walk open -> half-open -> closed"
-    );
-    assert!(
+        "the breaker must walk open -> half-open -> closed",
+    )?;
+    require(
         r.postmortems() >= 1,
-        "shard loss freezes flight-recorder postmortems"
-    );
+        "shard loss freezes flight-recorder postmortems",
+    )?;
 
     let mut resilience = Table::new(
         format!(
@@ -520,10 +585,10 @@ fn fleetchaos_at(devices: usize) -> String {
 
     if let Ok(path) = std::env::var("FPGACCEL_FLEETCHAOS_REPORT") {
         std::fs::write(&path, json_report(&sc, &r, victim, outage_s, deterministic))
-            .expect("fleetchaos report artifact writes");
+            .map_err(|e| FleetChaosError::Report(format!("{path}: {e}")))?;
     }
 
-    format!(
+    Ok(format!(
         "Fleetchaos — correlated domain outage, breakers, hedging, and self-healing \
          re-placement (seed {FLEET_SEED:#x}, fault seed {FAULT_SEED:#x}, {} boards, \
          {} shards = {} domains)\n{}\n{}\n\
@@ -552,12 +617,18 @@ fn fleetchaos_at(devices: usize) -> String {
         } else {
             "DIVERGENT"
         },
-    )
+    ))
 }
 
 /// The `fleetchaos` experiment report.
-pub fn fleetchaos() -> String {
-    fleetchaos_at(fleet_devices())
+///
+/// # Errors
+/// [`FleetChaosError`] when the fleet size is invalid, the scenario does
+/// not fit the fleet, or the run misses an acceptance bar.
+pub fn fleetchaos() -> Result<String, FleetChaosError> {
+    fleetchaos_at(parse_devices(
+        std::env::var("FPGACCEL_FLEETCHAOS_DEVICES").ok(),
+    )?)
 }
 
 #[cfg(test)]
@@ -566,12 +637,47 @@ mod tests {
 
     #[test]
     fn fleetchaos_absorbs_the_outage_at_smoke_scale() {
-        // The experiment self-asserts the acceptance bars — 100%
-        // in-budget completion, the breaker cycle, the heal, and the
-        // cold/warm byte-identity — so rendering without a panic IS the
-        // test.
-        let report = fleetchaos_at(48);
+        // The experiment checks its acceptance bars — 100% in-budget
+        // completion, the breaker cycle, the heal, and the cold/warm
+        // byte-identity — so rendering a report IS the test.
+        let report = fleetchaos_at(48).unwrap();
         assert!(report.contains("100% of in-budget traffic"));
         assert!(report.contains("identical"));
+    }
+
+    #[test]
+    fn fleet_size_sweep_reports_or_errs_without_panicking() {
+        // At 10 and 16 boards no MobileNet shard has a failover target
+        // for every model it serves, and at 20 the heal cannot re-place the
+        // demand on the survivors: error values, not panics.
+        for devices in [10, 16] {
+            assert!(
+                matches!(fleetchaos_at(devices), Err(FleetChaosError::NoVictim)),
+                "{devices} boards"
+            );
+        }
+        assert!(matches!(
+            fleetchaos_at(20),
+            Err(FleetChaosError::Acceptance(_))
+        ));
+        for devices in [32, 64] {
+            let report = fleetchaos_at(devices).unwrap();
+            assert!(report.contains("identical"), "{devices} boards");
+        }
+    }
+
+    #[test]
+    fn invalid_fleet_sizes_are_rejected() {
+        assert_eq!(parse_devices(None).unwrap(), DEFAULT_DEVICES);
+        assert_eq!(parse_devices(Some("64".into())).unwrap(), 64);
+        for bad in ["5", "9", "-3", "many", ""] {
+            assert!(
+                matches!(
+                    parse_devices(Some(bad.into())),
+                    Err(FleetChaosError::Devices(_))
+                ),
+                "{bad:?}"
+            );
+        }
     }
 }

@@ -123,7 +123,8 @@ impl Flow {
 
     /// Runs just the frontend: model import, Relay-style fusion and padding
     /// materialization — the graph every later stage (and the auto-tuner's
-    /// shape extraction) consumes.
+    /// shape extraction) consumes. A [`Flow::for_graph`] flow's result
+    /// shares the source graph's weight buffers.
     pub fn import_graph(&self) -> fpgaccel_tensor::graph::Graph {
         match &self.source {
             FlowSource::Model(m) => m.build(),
@@ -463,6 +464,35 @@ mod tests {
                 flow.compile(&OptimizationConfig::folded(TilingPreset::ResNet))
                     .unwrap_or_else(|e| panic!("{} on {p}: {e}", m.name()));
             }
+        }
+    }
+
+    #[test]
+    fn deployments_share_the_source_graphs_weights() {
+        // Fusion and padding re-point at the imported parameters: every
+        // weighted node of the deployed graph (fused and padded ones
+        // included) holds the source node's buffer, not a copy.
+        let source = Model::ResNet18.build();
+        let d = Flow::for_graph(source.clone(), FpgaPlatform::Stratix10Sx)
+            .compile(&OptimizationConfig::folded(TilingPreset::ResNet))
+            .unwrap();
+        let weighted: Vec<_> = d
+            .graph
+            .nodes
+            .iter()
+            .filter(|n| n.weights.is_some())
+            .collect();
+        assert_eq!(weighted.len(), 21, "20 convolutions and the classifier");
+        for node in weighted {
+            let src = source.nodes.iter().find(|n| n.name == node.name).unwrap();
+            assert!(
+                std::sync::Arc::ptr_eq(
+                    node.weights.as_ref().unwrap(),
+                    src.weights.as_ref().unwrap()
+                ),
+                "{} copied its weights",
+                node.name
+            );
         }
     }
 }

@@ -4,10 +4,13 @@
 //! Synthesis is by far the most expensive step of bringing a model onto a
 //! device, and a serving pool deploys the same model onto several devices
 //! (and re-deploys it after reconfiguration). The cache makes every compile
-//! after the first a lookup returning a shared [`Arc<Deployment>`].
+//! after the first a lookup returning a shared [`Arc<Deployment>`]. Each
+//! zoo model is built once per cache, and every deployment compiled from it
+//! shares its weight buffers.
 
 use fpgaccel_core::{BatchLatencyModel, Deployment, Flow, FlowError, OptimizationConfig};
 use fpgaccel_device::FpgaPlatform;
+use fpgaccel_tensor::graph::Graph;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_trace::{Tracer, PID_SERVE};
 use std::collections::HashMap;
@@ -22,6 +25,8 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct DeploymentCache {
     entries: HashMap<String, Arc<Deployment>>,
+    /// Zoo graphs built so far; compiles share their weights.
+    graphs: HashMap<Model, Graph>,
     /// Latency models memoized per (deployment identity, probe size).
     /// Calibration is a pure function of the deployment, and cached
     /// deployments are pinned for the cache's lifetime, so the allocation
@@ -42,6 +47,12 @@ impl DeploymentCache {
     /// `Debug` rendering is a faithful structural key.
     fn key(model: Model, platform: FpgaPlatform, config: &OptimizationConfig) -> String {
         format!("{model:?}/{platform:?}/{config:?}")
+    }
+
+    /// A compile flow for `model` over the cache's one built graph of it.
+    fn flow(&mut self, model: Model, platform: FpgaPlatform) -> Flow {
+        let graph = self.graphs.entry(model).or_insert_with(|| model.build());
+        Flow::for_graph(graph.clone(), platform)
     }
 
     /// Returns the cached deployment for the triple, compiling (and
@@ -81,7 +92,7 @@ impl DeploymentCache {
             &format!("deploy {model:?}/{platform} (cache miss)"),
         );
         let d = Arc::new(
-            Flow::new(model, platform)
+            self.flow(model, platform)
                 .with_tracer(tracer)
                 .compile(config)?,
         );
@@ -132,7 +143,8 @@ impl DeploymentCache {
         db: &fpgaccel_tune::TuningDb,
         fallback: &OptimizationConfig,
     ) -> Result<Arc<Deployment>, FlowError> {
-        let config = Flow::new(model, platform)
+        let config = self
+            .flow(model, platform)
             .with_tuned_config(db)
             .unwrap_or_else(|| fallback.clone());
         self.get_or_compile(model, platform, &config)
@@ -209,6 +221,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!((c.hits(), c.misses(), c.len()), (0, 3, 3));
+    }
+
+    #[test]
+    fn compiles_of_one_model_share_its_weights() {
+        // The cache builds each model once; deployments on different
+        // boards point at the same weight buffers.
+        let mut c = DeploymentCache::new();
+        let cfg = OptimizationConfig::tvm_autorun();
+        let sx = c
+            .get_or_compile(Model::LeNet5, FpgaPlatform::Stratix10Sx, &cfg)
+            .unwrap();
+        let a10 = c
+            .get_or_compile(Model::LeNet5, FpgaPlatform::Arria10Gx, &cfg)
+            .unwrap();
+        let weighted = |d: &Deployment| -> Vec<_> {
+            d.graph
+                .nodes
+                .iter()
+                .filter_map(|n| n.weights.clone())
+                .collect()
+        };
+        let (ws, wa) = (weighted(&sx), weighted(&a10));
+        assert_eq!(ws.len(), 5, "three convolutions and two dense layers");
+        assert_eq!(ws.len(), wa.len());
+        assert!(ws.iter().zip(&wa).all(|(s, a)| Arc::ptr_eq(s, a)));
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //!   explicit zero-padding kernel followed by an unpadded convolution, the
 //!   form TVM's codegen emits and whose cost the thesis measures
 //!   (Tables 6.8/6.16).
+//!
+//! Both passes rewrite structure only. Parameter tensors are immutable and
+//! held behind [`Arc`], so a pass's output, a cloned graph and every
+//! deployment compiled from it share the source graph's weight buffers.
 
 use crate::ops::{self, Activation, Conv2dParams};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// Index of a node within its graph.
 pub type NodeId = usize;
@@ -134,8 +140,8 @@ pub struct Node {
     pub op: Op,
     /// Producer node ids (one for most ops, two for `Add`).
     pub inputs: Vec<NodeId>,
-    /// Convolution/dense weights.
-    pub weights: Option<Tensor>,
+    /// Convolution/dense weights, shared (never copied) by graph passes.
+    pub weights: Option<Arc<Tensor>>,
     /// Bias.
     pub bias: Option<Vec<f32>>,
     /// Standalone folded batch-norm parameters (before fusion).
@@ -149,7 +155,7 @@ pub struct Node {
 impl Node {
     /// Number of trainable parameters carried by this node.
     pub fn param_count(&self) -> usize {
-        self.weights.as_ref().map_or(0, Tensor::numel)
+        self.weights.as_deref().map_or(0, Tensor::numel)
             + self.bias.as_ref().map_or(0, Vec::len)
             + self.bn.as_ref().map_or(0, |(s, b)| s.len() + b.len())
             + self.fused.bn.as_ref().map_or(0, |(s, b)| s.len() + b.len())
@@ -215,24 +221,34 @@ impl Graph {
         bias: Option<Vec<f32>>,
         bn: Option<(Vec<f32>, Vec<f32>)>,
     ) -> NodeId {
-        for &i in &inputs {
-            assert!(i < self.nodes.len(), "input node {i} does not exist");
-        }
-        let out_shape = self.infer_shape(&op, &inputs, weights.as_ref());
-        let id = self.nodes.len();
-        self.nodes.push(Node {
-            id,
+        self.append(Node {
+            id: 0,
             name: name.into(),
             op,
             inputs,
-            weights,
+            weights: weights.map(Arc::new),
             bias,
             bn,
             fused: FusedEpilogue::default(),
-            out_shape,
-        });
-        self.output = id;
-        id
+            out_shape: Shape::d1(0),
+        })
+    }
+
+    /// Appends `node`, assigning its id and inferring its output shape;
+    /// returns the id and marks the node as the graph output.
+    ///
+    /// # Panics
+    /// Panics unless every input and fused residual operand precedes it,
+    /// or if shapes are inconsistent.
+    fn append(&mut self, mut node: Node) -> NodeId {
+        for &i in node.inputs.iter().chain(&node.fused.add_from) {
+            assert!(i < self.nodes.len(), "input node {i} does not exist");
+        }
+        node.out_shape = self.infer_shape(&node.op, &node.inputs, node.weights.as_deref());
+        node.id = self.nodes.len();
+        self.output = node.id;
+        self.nodes.push(node);
+        self.output
     }
 
     fn infer_shape(&self, op: &Op, inputs: &[NodeId], weights: Option<&Tensor>) -> Shape {
@@ -354,7 +370,7 @@ impl Graph {
                         node.fused.activation
                     },
                 };
-                let w = node.weights.as_ref().expect("conv weights");
+                let w = node.weights.as_deref().expect("conv weights");
                 if *depthwise {
                     ops::depthwise_conv2d(arg(0), w, &p)
                 } else {
@@ -365,7 +381,7 @@ impl Graph {
             }
             Op::Dense { .. } => ops::dense(
                 arg(0),
-                node.weights.as_ref().expect("dense weights"),
+                node.weights.as_deref().expect("dense weights"),
                 node.bias.as_deref(),
                 node.fused.activation,
             ),
@@ -409,7 +425,10 @@ impl Graph {
     /// Folds, in producer order, each fusable chain
     /// `conv/dense -> [BatchNorm] -> [Add] -> [ReLU/ReLU6]` into the
     /// producing node's [`FusedEpilogue`], removing the standalone nodes.
-    /// Only single-consumer edges are fused.
+    /// Only single-consumer edges are fused. A residual add may fuse into a
+    /// convolution that precedes its other operand (ResNet's downsampling
+    /// blocks push the projection after conv `b`), so the result is
+    /// re-sorted topologically.
     ///
     /// Returns a new graph; the receiver is unchanged.
     pub fn fuse(&self) -> Graph {
@@ -475,9 +494,49 @@ impl Graph {
                 }
             }
             if !fused_one {
+                g.sort_topologically();
                 return g;
             }
         }
+    }
+
+    /// Reorders the nodes so every input and fused residual operand
+    /// precedes its consumer. Stable: of the ready nodes the earliest goes
+    /// first, so an already-ordered graph keeps its order.
+    fn sort_topologically(&mut self) {
+        fn deps(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
+            node.inputs.iter().copied().chain(node.fused.add_from)
+        }
+        let n = self.nodes.len();
+        let mut pending: Vec<usize> = self.nodes.iter().map(|node| deps(node).count()).collect();
+        let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for node in &self.nodes {
+            for d in deps(node) {
+                consumers[d].push(node.id);
+            }
+        }
+        let mut ready: BinaryHeap<Reverse<NodeId>> =
+            (0..n).filter(|&i| pending[i] == 0).map(Reverse).collect();
+        let mut new_id = vec![usize::MAX; n];
+        let mut placed = 0;
+        while let Some(Reverse(i)) = ready.pop() {
+            new_id[i] = placed;
+            placed += 1;
+            for &c in &consumers[i] {
+                pending[c] -= 1;
+                if pending[c] == 0 {
+                    ready.push(Reverse(c));
+                }
+            }
+        }
+        assert_eq!(placed, n, "graph {} has a cycle", self.name);
+        self.nodes.sort_by_key(|node| new_id[node.id]);
+        for node in &mut self.nodes {
+            node.id = new_id[node.id];
+            node.inputs.iter_mut().for_each(|p| *p = new_id[*p]);
+            node.fused.add_from = node.fused.add_from.map(|a| new_id[a]);
+        }
+        self.output = new_id[self.output];
     }
 
     /// Removes node `id`, redirecting its consumers to `replacement` (the
@@ -511,84 +570,31 @@ impl Graph {
     /// Returns a new graph; the receiver is unchanged.
     pub fn materialize_padding(&self) -> Graph {
         let mut g = Graph::new(self.name.clone(), self.input_shape().clone());
-        // old id -> new id of the node producing the equivalent value
-        let mut map: Vec<NodeId> = vec![0; self.nodes.len()];
+        // old id -> new id of the node producing the equivalent value; an
+        // operand that is not mapped yet fails `append`'s order check
+        let mut map: Vec<NodeId> = vec![usize::MAX; self.nodes.len()];
+        map[0] = 0;
         for node in &self.nodes[1..] {
-            let new_inputs: Vec<NodeId> = node.inputs.iter().map(|&i| map[i]).collect();
-            let new_id = match &node.op {
-                Op::Conv2d {
-                    out_channels,
-                    kernel,
-                    stride,
-                    pad,
-                    depthwise,
-                } if *pad > 0 => {
+            let mut new = node.clone();
+            new.inputs = node.inputs.iter().map(|&i| map[i]).collect();
+            new.fused.add_from = node.fused.add_from.map(|a| map[a]);
+            match &mut new.op {
+                // Padded max pooling splits into pad + pool like a padded
+                // convolution. Zero padding is equivalent to -inf padding
+                // here because pooled inputs are post-ReLU (non-negative) in
+                // the networks under study (ResNet's stem pool).
+                Op::Conv2d { pad, .. } | Op::MaxPool { pad, .. } if *pad > 0 => {
                     let pad_id = g.push(
                         format!("{}_pad", node.name),
                         Op::Pad { pad: *pad },
-                        vec![new_inputs[0]],
+                        vec![new.inputs[0]],
                     );
-                    let conv_id = g.push_with_params(
-                        node.name.clone(),
-                        Op::Conv2d {
-                            out_channels: *out_channels,
-                            kernel: *kernel,
-                            stride: *stride,
-                            pad: 0,
-                            depthwise: *depthwise,
-                        },
-                        vec![pad_id],
-                        node.weights.clone(),
-                        node.bias.clone(),
-                        node.bn.clone(),
-                    );
-                    g.nodes[conv_id].fused = FusedEpilogue {
-                        add_from: node.fused.add_from.map(|a| map[a]),
-                        ..node.fused.clone()
-                    };
-                    conv_id
+                    new.inputs = vec![pad_id];
+                    *pad = 0;
                 }
-                // Padded max pooling also splits into pad + pool. Zero
-                // padding is equivalent to -inf padding here because pooled
-                // inputs are post-ReLU (non-negative) in the networks under
-                // study (ResNet's stem pool).
-                Op::MaxPool {
-                    window,
-                    stride,
-                    pad,
-                } if *pad > 0 => {
-                    let pad_id = g.push(
-                        format!("{}_pad", node.name),
-                        Op::Pad { pad: *pad },
-                        vec![new_inputs[0]],
-                    );
-                    g.push(
-                        node.name.clone(),
-                        Op::MaxPool {
-                            window: *window,
-                            stride: *stride,
-                            pad: 0,
-                        },
-                        vec![pad_id],
-                    )
-                }
-                _ => {
-                    let id = g.push_with_params(
-                        node.name.clone(),
-                        node.op.clone(),
-                        new_inputs,
-                        node.weights.clone(),
-                        node.bias.clone(),
-                        node.bn.clone(),
-                    );
-                    g.nodes[id].fused = FusedEpilogue {
-                        add_from: node.fused.add_from.map(|a| map[a]),
-                        ..node.fused.clone()
-                    };
-                    id
-                }
-            };
-            map[node.id] = new_id;
+                _ => {}
+            }
+            map[node.id] = g.append(new);
         }
         g.output = map[self.output];
         g

@@ -3,15 +3,16 @@
 //!
 //! Providing it here gives the reference engine a second, independent
 //! convolution algorithm: the direct implementation and the GEMM lowering
-//! cross-check each other (unit + property tests), and the Criterion benches
-//! compare their host performance the way the TF/TVM baselines would.
+//! cross-check each other (unit + property tests), and the wall-clock benches
+//! (`crates/bench/benches/ops.rs`) compare their host performance the way the
+//! TF/TVM baselines would.
 
 use super::conv::Conv2dParams;
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 
 /// Dense row-major matrix multiply `C[m x n] = A[m x k] * B[k x n]`,
-/// rayon-parallel over rows of `A`.
+/// parallel over rows of `A` ([`crate::par`]).
 ///
 /// # Panics
 /// Panics on dimension mismatches.

@@ -283,6 +283,26 @@ fn pipelined_mode_rejects_resnet() {
     assert!(err.to_string().contains("linear chain"), "{err}");
 }
 
+/// A compiled ResNet-18 infers the imported network's output: the residual
+/// operands of its downsampling blocks survive fusion and padding.
+#[test]
+fn resnet18_deployment_infers_the_reference_output() {
+    let platform = FpgaPlatform::Stratix10Sx;
+    let graph = Model::ResNet18.build();
+    let d = Flow::for_graph(graph.clone(), platform)
+        .compile(&optimized_config(Model::ResNet18, platform))
+        .unwrap();
+    let input = data::imagenet_input(0);
+    let r = d.infer(&input);
+    assert!(r.simulated_seconds > 0.0);
+    assert!(fpgaccel::tensor::allclose(
+        &r.output,
+        &graph.execute(&input),
+        1e-4,
+        1e-6
+    ));
+}
+
 /// Everything is deterministic: identical compiles produce identical
 /// bitstreams and batch simulations (the premise of the regenerable
 /// evaluation harness).

@@ -5,7 +5,8 @@
 //!   parameterized — computes the same function (IR interpreter vs the
 //!   native reference operators), for randomized shapes and data;
 //! * schedule transformations (`split`, `unroll`) preserve semantics;
-//! * graph fusion and padding materialization preserve network outputs;
+//! * graph fusion and padding materialization preserve network outputs and
+//!   topological order (randomized networks and every zoo model);
 //! * the AOC resource model is monotone in unroll factors.
 //!
 //! Each test draws its case parameters from a seeded [`Rng64`] stream, so a
@@ -425,6 +426,37 @@ fn graph_passes_preserve_semantics() {
         assert!(
             allclose(&got, &expect, 1e-4, 1e-5),
             "case {case}: channels={channels} pad={pad} bn={use_bn}"
+        );
+    }
+}
+
+/// On every zoo network, fusion followed by padding materialization
+/// yields a topologically ordered graph — every input and fused residual
+/// operand precedes its consumer (ResNet's downsampling blocks fuse the
+/// add into a conv pushed before the projection) — that computes the
+/// same output as the imported graph.
+#[test]
+fn zoo_graph_passes_stay_topological_and_preserve_semantics() {
+    use fpgaccel::tensor::models::Model;
+    for model in Model::ALL {
+        let g = model.build();
+        let transformed = g.fuse().materialize_padding();
+        for node in &transformed.nodes {
+            for &p in node.inputs.iter().chain(&node.fused.add_from) {
+                assert!(
+                    p < node.id,
+                    "{}: node {} ({}) consumes later node {p}",
+                    model.name(),
+                    node.id,
+                    node.name
+                );
+            }
+        }
+        let x = Tensor::random(g.input_shape().clone(), 0x200, 1.0);
+        assert!(
+            allclose(&transformed.execute(&x), &g.execute(&x), 1e-4, 1e-6),
+            "{}: passes changed the network output",
+            model.name()
         );
     }
 }
